@@ -177,7 +177,7 @@ fn simulate_conservative_backfill_10k(c: &mut Criterion) {
 }
 
 /// EASY with the strict shadow-time veto at 10k jobs: policy-side
-/// candidate filtering (sharded once the queue is deep enough) plus the
+/// candidate filtering (one serial pass over the queue) plus the
 /// kernel-side `strict_backfill` validation served from the actual-end
 /// capacity calendar.
 fn simulate_easy_backfill_10k(c: &mut Criterion) {

@@ -4,9 +4,11 @@
 //! it: the LLM agent's biggest wins come from backfilling around blocked
 //! heads, and this policy isolates exactly that mechanism without any
 //! multiobjective reasoning.
+//!
+//! Each decision is one serial pass over the waiting queue: the same
+//! iterator chain on flat and classed machines, at any queue depth.
 
 use rsched_cluster::{JobId, JobSpec, NodeClass, ResourceVec};
-use rsched_sim::scan::{first_match_specs, min_match_specs, scan_workers};
 use rsched_sim::{Action, DelayReason, SchedulingPolicy, SystemView};
 use rsched_simkit::{SimDuration, SimTime};
 
@@ -60,8 +62,7 @@ fn dominates(candidate: &JobSpec, r: &DemandSnapshot) -> bool {
 
 /// `true` if proposing `candidate` is pointless given this timestep's
 /// rejection frontier: it was itself rejected, or it dominates a rejected
-/// demand. A free function over plain slices so the sharded candidate
-/// scan can evaluate it from worker threads.
+/// demand.
 fn dominated_by_rejection(
     rejected: &[RejectedDemand],
     waiting: &[JobSpec],
@@ -92,10 +93,9 @@ fn dominated_by_rejection(
 /// memory, walltime, per-node vector, same class pin) would draw the same
 /// veto, so it is skipped without wasting a policy query on it.
 ///
-/// On flat clusters with queues at least
-/// [`PARALLEL_SCAN_MIN`](rsched_sim::PARALLEL_SCAN_MIN) deep, the
-/// candidate filter shards across the scoped-thread scan path
-/// ([`rsched_sim::scan`]) and reduces bit-identically to the serial scan.
+/// Candidates come from one serial pass over the queue in arrival order,
+/// on every topology and at every depth: the first survivor of the
+/// filter, or under SJBF the shortest one.
 ///
 /// The [`sjbf`](EasyBackfill::sjbf) variant orders backfill candidates by
 /// shortest requested walltime first (SJBF) instead of arrival order — the
@@ -162,38 +162,14 @@ impl SchedulingPolicy for EasyBackfill {
         }
         // Head blocked: backfill candidates in arrival order (or shortest
         // walltime first under SJBF).
-        let candidate: Option<&JobSpec> = if view.config.topology.is_flat() {
-            // Flat `fits_now` is the two scalar comparisons, so the filter
-            // closes over plain `Sync` data and can shard across threads
-            // once the queue is deep enough.
-            let (free_nodes, free_memory_gb) = (view.free_nodes, view.free_memory_gb);
-            let (head_id, waiting) = (head.id, view.waiting);
-            let rejected = self.rejected_this_epoch.as_slice();
-            let pred = |j: &JobSpec| {
-                j.id != head_id
-                    && j.nodes <= free_nodes
-                    && j.memory_gb <= free_memory_gb
-                    && !dominated_by_rejection(rejected, waiting, j)
-            };
-            let workers = scan_workers();
-            if self.shortest_first {
-                min_match_specs(waiting, pred, |j| (j.walltime, j.submit, j.id), workers)
-            } else {
-                first_match_specs(waiting, pred, workers)
-            }
-            .map(|at| &waiting[at])
+        let mut eligible = view
+            .eligible_now()
+            .filter(|j| j.id != head.id)
+            .filter(|j| !dominated_by_rejection(&self.rejected_this_epoch, view.waiting, j));
+        let candidate = if self.shortest_first {
+            eligible.min_by_key(|j| (j.walltime, j.submit, j.id))
         } else {
-            let mut eligible = view
-                .waiting
-                .iter()
-                .filter(|j| j.id != head.id)
-                .filter(|j| view.fits_now(j))
-                .filter(|j| !dominated_by_rejection(&self.rejected_this_epoch, view.waiting, j));
-            if self.shortest_first {
-                eligible.min_by_key(|j| (j.walltime, j.submit, j.id))
-            } else {
-                eligible.next()
-            }
+            eligible.next()
         };
         match candidate {
             Some(j) => self.propose(j, Action::BackfillJob(j.id)),

@@ -11,7 +11,7 @@
 //!     fn name(&self) -> &str { "greedy" }
 //!     fn decide(&mut self, view: &SystemView<'_>) -> Action {
 //!         if view.all_jobs_started() { return Action::Stop; }
-//!         match view.first_eligible() {
+//!         match view.eligible_now().next() {
 //!             Some(j) => Action::StartJob(j.id),
 //!             None => Action::Delay,
 //!         }
@@ -122,7 +122,7 @@ mod tests {
             if view.all_jobs_started() {
                 return Action::Stop;
             }
-            match view.first_eligible() {
+            match view.eligible_now().next() {
                 Some(j) => Action::StartJob(j.id),
                 None => Action::Delay,
             }

@@ -14,9 +14,9 @@
 //!   pre-loads arrivals as events and jumps the clock to the next event —
 //!   time is free, so a 100k-job year replays in a fraction of a second
 //!   and a 1M-job synthetic Polaris stream in seconds (the wait queue is
-//!   struct-of-arrays with dense demand columns, and deep flat-topology
-//!   placement scans shard across cores bit-identically — see
-//!   [`crate::store::JobStore`] and [`crate::scan`]);
+//!   struct-of-arrays with dense demand columns, so a flat-topology
+//!   placement scan is one serial pass over two packed columns — see
+//!   [`crate::store::JobStore`]);
 //! * the **service driver** (`rsched-service`) feeds arrivals from a live
 //!   submission channel and ticks on a real (or manually advanced) clock,
 //!   optionally tagging each arrival with a fair-share *rank* that the

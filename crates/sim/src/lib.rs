@@ -40,7 +40,6 @@ pub mod outcome;
 pub mod policy;
 pub mod profile;
 mod queue;
-pub mod scan;
 pub mod simulator;
 pub mod store;
 pub mod view;
@@ -57,7 +56,6 @@ pub use profile::{
     CalendarPoint, CalendarRef, CalendarStamp, CapacityCalendar, CapacityLedger,
     ReservationProfile, ReservedStep,
 };
-pub use scan::{ScanOutcome, PARALLEL_SCAN_MIN};
 pub use simulator::{job_is_feasible, run_simulation, validate_workload, SimError, SimOptions};
 pub use store::JobStore;
 pub use view::{CompletedStats, RunningSummary, SystemView};
@@ -65,3 +63,9 @@ pub use view::{CompletedStats, RunningSummary, SystemView};
 // Telemetry vocabulary re-exported so policies and drivers can name the
 // provenance/sink types without a direct `rsched-telemetry` dependency.
 pub use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
+
+/// A wait-queue depth of 8192 jobs. No scheduling code reads it: every
+/// placement scan is one serial left-to-right pass at any depth. It stays
+/// only so the repository benchmark can label how deep its archive
+/// replays drive the wait queue.
+pub const PARALLEL_SCAN_MIN: usize = 8192;

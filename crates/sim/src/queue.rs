@@ -12,7 +12,8 @@
 //! * [`WaitQueue`] keeps jobs sorted by `(rank, submit, id)` via
 //!   binary-search insertion, pops the head in O(1) amortized via a head
 //!   offset, and short-circuits "does anything fit?" with conservative
-//!   min-demand watermarks. The **rank** is a fair-share priority tag:
+//!   min-demand watermarks, else answers it with one serial scan at any
+//!   queue depth. The **rank** is a fair-share priority tag:
 //!   the virtual-time simulator always inserts at rank 0, which makes the
 //!   order exactly the paper's `(submit, id)` arrival order; the
 //!   multi-tenant service daemon inserts with usage-decayed tenant ranks so
@@ -27,7 +28,6 @@
 use rsched_cluster::{ClusterState, JobId, JobSpec};
 use rsched_simkit::SimTime;
 
-use crate::scan;
 use crate::store::JobStore;
 use crate::view::RunningSummary;
 
@@ -178,25 +178,24 @@ impl WaitQueue {
             return false;
         }
         // Flat clusters admit the dense-column scan: `can_fit` is exactly
-        // the two column comparisons, so the store's SoA mirror (and, past
-        // the depth threshold, the sharded parallel scan) is bit-identical
-        // to probing the full specs.
+        // the two column comparisons, so the store's SoA mirror gives the
+        // same answer as probing the full specs.
         if cluster.config().is_flat() {
-            let out = scan::first_fit_flat(
+            return match first_fit_flat(
                 &self.jobs.nodes()[self.head..],
                 &self.jobs.memory_gb()[self.head..],
                 free_nodes,
                 free_memory_gb,
-                scan::scan_workers(),
-            );
-            if out.first_fit.is_some() {
+            ) {
                 // Early exit: a partial scan's minima would not be a sound
                 // watermark, so only complete (no-fit) scans update it.
-                return true;
-            }
-            self.min_nodes = out.min_nodes;
-            self.min_memory_gb = out.min_memory_gb;
-            return false;
+                Ok(_) => true,
+                Err((min_nodes, min_memory_gb)) => {
+                    self.min_nodes = min_nodes;
+                    self.min_memory_gb = min_memory_gb;
+                    false
+                }
+            };
         }
         let mut min_nodes = u32::MAX;
         let mut min_memory_gb = u64::MAX;
@@ -212,6 +211,30 @@ impl WaitQueue {
         self.min_memory_gb = min_memory_gb;
         false
     }
+}
+
+/// The left-to-right fit scan over aligned dense demand columns:
+/// `Ok(index)` of the first job with `nodes ≤ free_nodes` and
+/// `memory_gb ≤ free_memory_gb` (early exit), or `Err((min_nodes,
+/// min_memory_gb))`, the exact column minima, when nothing fits — a scan
+/// that early-exits has not seen every job, so it yields no minima.
+fn first_fit_flat(
+    nodes: &[u32],
+    memory_gb: &[u64],
+    free_nodes: u32,
+    free_memory_gb: u64,
+) -> Result<usize, (u32, u64)> {
+    debug_assert_eq!(nodes.len(), memory_gb.len());
+    let mut min_nodes = u32::MAX;
+    let mut min_memory_gb = u64::MAX;
+    for (i, (&n, &m)) in nodes.iter().zip(memory_gb).enumerate() {
+        if n <= free_nodes && m <= free_memory_gb {
+            return Ok(i);
+        }
+        min_nodes = min_nodes.min(n);
+        min_memory_gb = min_memory_gb.min(m);
+    }
+    Err((min_nodes, min_memory_gb))
 }
 
 /// The running-job mirror: [`RunningSummary`]s sorted ascending by id,
@@ -378,6 +401,147 @@ mod tests {
         assert_eq!(q.min_memory_gb, 8);
         // From now on the same saturated state is proved in O(1).
         assert!(!q.any_fits(&busy));
+    }
+
+    fn columns(demands: &[(u32, u64)]) -> (Vec<u32>, Vec<u64>) {
+        demands.iter().copied().unzip()
+    }
+
+    #[test]
+    fn serial_finds_first_fit_in_scan_order() {
+        let (n, m) = columns(&[(8, 64), (4, 32), (2, 8), (1, 4)]);
+        let out = first_fit_flat(&n, &m, 4, 32);
+        assert_eq!(out, Ok(1), "job 0 too wide, job 1 fits");
+    }
+
+    #[test]
+    fn serial_no_fit_yields_exact_minima() {
+        let (n, m) = columns(&[(8, 64), (4, 512), (6, 32)]);
+        assert_eq!(first_fit_flat(&n, &m, 2, 16), Err((4, 32)));
+    }
+
+    #[test]
+    fn empty_columns_scan_to_nothing() {
+        let out = first_fit_flat(&[], &[], 100, 100);
+        assert_eq!(out, Err((u32::MAX, u64::MAX)));
+    }
+
+    /// The watermark contract at depth. Random sequences of `insert`,
+    /// `insert_ranked` and `remove_at` (head pops through the lazy offset,
+    /// near-head prefix rotations, compactions) against random free levels
+    /// on a flat cluster: `any_fits` always agrees with a plain scan of the
+    /// live queue, the watermarks never exceed the live minima, a `false`
+    /// that came from a full scan leaves them exact, and the queue keeps
+    /// its `(rank, submit, id)` order. One case grows
+    /// the queue past 12k rows and must miss on full scans that deep.
+    #[test]
+    fn any_fits_and_watermarks_match_a_naive_scan_at_depth() {
+        const NODES: u32 = 64;
+        const MEMORY_GB: u64 = 512;
+        /// Steps, and the percent of them that insert.
+        type Phase = (usize, u64);
+        // (seed, a growth then a drain phase, depth the case must reach).
+        let cases: [(u64, [Phase; 2], usize); 3] = [
+            (0x2545_F491_4F6C_DD1D, [(400, 60), (400, 40)], 50),
+            (0x9E37_79B9_7F4A_7C15, [(2_000, 55), (2_000, 30)], 100),
+            (0xD1B5_4A32_D192_ED03, [(13_500, 96), (8_000, 5)], 12_000),
+        ];
+        for (seed, phases, min_depth) in cases {
+            let mut x = seed;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            // Free levels: an idle machine plus blockers holding random
+            // shares of up to three quarters of it (about one level in
+            // four then leaves room for none of the demands below).
+            let idle = ClusterState::new(ClusterConfig::new(NODES, MEMORY_GB));
+            let mut levels = vec![idle.clone()];
+            for b in 0..15 {
+                let mut busy = idle.clone();
+                let nodes = 1 + (next() % u64::from(NODES * 3 / 4)) as u32;
+                let blocker = spec(u32::MAX - b, 0, nodes, 1 + next() % (MEMORY_GB * 3 / 4));
+                busy.start_job(&blocker, SimTime::ZERO).unwrap();
+                levels.push(busy);
+            }
+            let mut q = WaitQueue::new();
+            let (mut next_id, mut submit) = (0u32, 0u64);
+            let (mut deepest, mut offset_used, mut compactions) = (0, false, 0);
+            let mut deep_full_misses = 0;
+            // `(rank, submit, id)` of the live jobs, kept sorted: the order
+            // the queue must hold through offsets and compactions.
+            let mut model: Vec<(u64, u64, u32)> = Vec::new();
+            for (steps, insert_pct) in phases {
+                for step in 0..steps {
+                    if q.is_empty() || next() % 100 < insert_pct {
+                        // Anti-correlated demands (narrow jobs are memory
+                        // heavy), so nothing may fit although the free
+                        // levels clear both watermarks: a full scan.
+                        let nodes = 1 + (next() % u64::from(NODES)) as u32;
+                        let mem = u64::from(NODES + 1 - nodes) * 8 - next() % 8;
+                        submit += next() % 3;
+                        let job = spec(next_id, submit, nodes, mem);
+                        let rank = if next() % 4 == 0 { next() % 4 } else { 0 };
+                        let key = (rank, submit, next_id);
+                        model.insert(model.partition_point(|k| *k < key), key);
+                        next_id += 1;
+                        if rank == 0 {
+                            q.insert(job);
+                        } else {
+                            q.insert_ranked(job, rank);
+                        }
+                    } else {
+                        // Mostly head pops and near-head backfills.
+                        let len = q.len() as u64;
+                        let at = if next() % 8 == 0 {
+                            next() % len
+                        } else {
+                            next() % len.min(4)
+                        };
+                        let head = q.head;
+                        let removed = q.remove_at(at as usize);
+                        assert_eq!(removed.id.0, model.remove(at as usize).2);
+                        offset_used |= q.head > 0;
+                        if q.head < head && !q.is_empty() {
+                            compactions += 1;
+                        }
+                    }
+                    deepest = deepest.max(q.len());
+                    if step % 64 == 0 {
+                        let ids = q.as_slice().iter().map(|j| j.id.0);
+                        assert!(ids.eq(model.iter().map(|k| k.2)), "queue order");
+                    }
+
+                    let cluster = &levels[(next() % levels.len() as u64) as usize];
+                    let short_circuit = cluster.free_nodes() < q.min_nodes
+                        || cluster.free_memory_gb() < q.min_memory_gb;
+                    let expect = q.as_slice().iter().any(|j| cluster.can_fit(j));
+                    assert_eq!(q.any_fits(cluster), expect, "seed {seed:#x}");
+                    if !expect {
+                        let exact = q.as_slice().iter().fold((u32::MAX, u64::MAX), |(n, m), j| {
+                            (n.min(j.nodes), m.min(j.memory_gb))
+                        });
+                        let marks = (q.min_nodes, q.min_memory_gb);
+                        assert!(
+                            marks.0 <= exact.0 && marks.1 <= exact.1,
+                            "watermark {marks:?} above the live minima {exact:?}"
+                        );
+                        if !short_circuit {
+                            assert_eq!(marks, exact, "a full no-fit scan is exact");
+                            deep_full_misses += usize::from(q.len() > min_depth);
+                        }
+                    }
+                }
+            }
+            assert!(deepest > min_depth, "seed {seed:#x} reached {deepest}");
+            assert!(offset_used && compactions > 0, "seed {seed:#x}");
+            assert!(
+                deep_full_misses > 0,
+                "seed {seed:#x}: no full scan at depth"
+            );
+        }
     }
 
     #[test]

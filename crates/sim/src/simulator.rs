@@ -284,7 +284,7 @@ mod tests {
             if view.all_jobs_started() {
                 return Action::Stop;
             }
-            match view.first_eligible() {
+            match view.eligible_now().next() {
                 Some(j) => Action::StartJob(j.id),
                 None => Action::Delay,
             }
@@ -443,7 +443,7 @@ mod tests {
                 if view.all_jobs_started() {
                     return Action::Stop;
                 }
-                match view.first_eligible() {
+                match view.eligible_now().next() {
                     Some(j) => Action::StartJob(j.id),
                     None => Action::Delay,
                 }
@@ -484,7 +484,7 @@ mod tests {
                     self.tried_early_stop = true;
                     return Action::Stop;
                 }
-                match view.first_eligible() {
+                match view.eligible_now().next() {
                     Some(j) => Action::StartJob(j.id),
                     None => Action::Delay,
                 }
@@ -520,7 +520,7 @@ mod tests {
                 if view.all_jobs_started() {
                     return Action::Stop;
                 }
-                match view.first_eligible() {
+                match view.eligible_now().next() {
                     Some(j) => Action::BackfillJob(j.id),
                     None => Action::Delay,
                 }
@@ -562,7 +562,7 @@ mod tests {
                         if view.all_jobs_started() {
                             return Action::Stop;
                         }
-                        match view.first_eligible() {
+                        match view.eligible_now().next() {
                             Some(j) => Action::StartJob(j.id),
                             None => Action::Delay,
                         }

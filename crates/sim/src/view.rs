@@ -14,6 +14,9 @@
 //! slice at all. Callers that genuinely need an owned snapshot (the PR-2
 //! era API) can still get one through the deprecated
 //! [`to_owned`](SystemView::to_owned) compatibility path.
+//!
+//! Placement queries are serial scans in queue order: a greedy first-fit
+//! policy takes `eligible_now().next()`, which stops at the first fit.
 
 use rsched_cluster::{
     ClusterConfig, Demand, JobId, JobRecord, JobSpec, NodeClass, UserId, MAX_CLASSES,
@@ -134,35 +137,23 @@ impl<'a> SystemView<'a> {
     /// ask whether some class-compatible slot has enough free nodes whose
     /// per-node capacity covers the job's vector demand.
     pub fn fits_now(&self, spec: &JobSpec) -> bool {
-        if self.config.topology.is_flat() {
+        self.fits(self.config.topology.is_flat(), spec)
+    }
+
+    /// Waiting jobs that fit right now, in queue order. The topology test
+    /// runs once per call, not once per job, so on a flat cluster each
+    /// probe is just the two scalar comparisons.
+    pub fn eligible_now(&self) -> impl Iterator<Item = &'a JobSpec> + '_ {
+        let flat = self.config.topology.is_flat();
+        self.waiting.iter().filter(move |j| self.fits(flat, j))
+    }
+
+    /// [`fits_now`](Self::fits_now) with the topology test already made.
+    fn fits(&self, flat: bool, spec: &JobSpec) -> bool {
+        if flat {
             spec.nodes <= self.free_nodes && spec.memory_gb <= self.free_memory_gb
         } else {
             Demand::from(spec).fits_classes(&self.config.topology, &self.free_by_class)
-        }
-    }
-
-    /// Waiting jobs that fit right now, in queue order.
-    pub fn eligible_now(&self) -> impl Iterator<Item = &'a JobSpec> + '_ {
-        self.waiting.iter().filter(|j| self.fits_now(j))
-    }
-
-    /// The first waiting job (in queue order) that fits right now —
-    /// `eligible_now().next()`, but on a flat cluster with a deep queue
-    /// the scan is sharded across threads and reduced by lowest queue
-    /// position, so the result is bit-identical to the serial scan (see
-    /// [`scan`](crate::scan)). Greedy first-fit policies should prefer
-    /// this over `eligible_now().next()` for million-job replays.
-    pub fn first_eligible(&self) -> Option<&'a JobSpec> {
-        if self.config.topology.is_flat() {
-            crate::scan::first_fit_specs(
-                self.waiting,
-                self.free_nodes,
-                self.free_memory_gb,
-                crate::scan::scan_workers(),
-            )
-            .map(|at| &self.waiting[at])
-        } else {
-            self.eligible_now().next()
         }
     }
 

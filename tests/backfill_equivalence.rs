@@ -18,8 +18,7 @@
 //!   `earliest_window` against the quadratic candidate loop, on
 //!   arbitrarily reserved (non-monotone) skylines.
 //! * An `#[ignore]`d release-mode `polaris_synth:50000` stream pins the
-//!   EASY family — queue depths there cross the sharded-scan threshold —
-//!   plus a 5k-job Conservative cell (the quadratic reference makes 50k
+//!   EASY family on an archive-length stream, plus a 5k-job Conservative cell (the quadratic reference makes 50k
 //!   intractable): `cargo test --release --test backfill_equivalence --
 //!   --ignored`.
 
@@ -443,9 +442,8 @@ fn calendar_backfill_matches_reference_on_a_polaris_stream() {
 }
 
 /// Release-mode deep-stream differential — the EASY family over a
-/// `polaris_synth:50000` stream (queue depths cross the sharded-scan
-/// threshold, so the scoped-thread candidate scan is exercised against the
-/// serial reference), plus a 5k Conservative cell (the O(profile²)
+/// `polaris_synth:50000` stream (the serial candidate scan against the
+/// straight-line reference on an archive-length queue), plus a 5k Conservative cell (the O(profile²)
 /// reference cannot face 50k):
 ///
 /// ```text
